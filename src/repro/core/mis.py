@@ -17,8 +17,7 @@ sets of vertex indices.
 
 from __future__ import annotations
 
-import itertools
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .graph import ConflictGraph
 
@@ -64,14 +63,43 @@ def greedy_wmis(graph: ConflictGraph, *, key: str = "weight") -> Set[int]:
     return selected
 
 
-def _independent_subsets(
-    graph: ConflictGraph, candidates: Sequence[int], max_size: int
-) -> Iterable[Tuple[int, ...]]:
-    """Yield all independent subsets of ``candidates`` with size 1..max_size."""
-    for size in range(1, max_size + 1):
-        for combo in itertools.combinations(candidates, size):
-            if graph.is_independent(combo):
-                yield combo
+def _low_bits(mask: int, limit: int) -> List[int]:
+    """Indices of the lowest ``limit`` set bits of ``mask``, ascending."""
+    indices: List[int] = []
+    while mask and len(indices) < limit:
+        lowest = mask & -mask
+        indices.append(lowest.bit_length() - 1)
+        mask ^= lowest
+    return indices
+
+
+def _anchored_claws(
+    anchor: int, pool: Sequence[int], masks: Sequence[int], max_size: int
+) -> Iterator[Tuple[int, ...]]:
+    """Independent talon sets ``(anchor, *rest)`` with ``rest`` drawn from ``pool``.
+
+    ``pool`` must hold no neighbour of ``anchor``.  Claws come by size, then
+    in ``itertools.combinations(pool, size - 1)`` order; a prefix that is
+    already dependent is not extended.
+    """
+
+    def extend(
+        claw: Tuple[int, ...], start: int, blocked: int, missing: int
+    ) -> Iterator[Tuple[int, ...]]:
+        for position in range(start, len(pool)):
+            vertex = pool[position]
+            if blocked >> vertex & 1:
+                continue
+            if missing == 1:
+                yield claw + (vertex,)
+            else:
+                yield from extend(
+                    claw + (vertex,), position + 1, blocked | masks[vertex], missing - 1
+                )
+
+    yield (anchor,)
+    for size in range(1, max_size):
+        yield from extend((anchor,), 0, 0, size)
 
 
 def squareimp_wmis(
@@ -80,53 +108,79 @@ def squareimp_wmis(
     max_claw_size: int = 2,
     max_iterations: int = 200,
 ) -> Set[int]:
-    """SquareImp-style local search for w-MIS on a claw-free conflict graph.
+    """SquareImp-style local search for w-MIS on the conflict graph.
 
     Starting from the greedy solution, the search looks for a *claw
-    improvement*: an independent set of up to ``max_claw_size`` vertices
-    (the talons) outside the current solution whose squared weight exceeds
-    the squared weight of the solution vertices they conflict with.  Applying
-    such improvements until none exists yields Berman's d/2 guarantee on
-    d-claw-free graphs when ``max_claw_size`` ≥ d−1; smaller values trade the
-    constant for speed, which is the same trade-off the paper's ``t``
-    parameter expresses.
+    improvement*: an independent set of at most ``max_claw_size`` vertices
+    (the talons) outside the current solution whose squared weight exceeds,
+    by more than ``1e-12``, the squared weight of the solution vertices they
+    conflict with.  What is searched is deliberately local:
+
+    * every vertex outside the solution is tried as the *anchor*, in
+      ascending index order;
+    * the other talons come from the anchor's *two-hop* outside vertices —
+      those not adjacent to the anchor but sharing a neighbour with it — of
+      which only the lowest ``max(8, 4 * max_claw_size) - 1`` indices join
+      the anchor in its pool;
+    * only claws containing the anchor are tried: the anchor alone, then the
+      anchor with each independent combination of pool vertices, by size
+      and in index order;
+    * the first improving claw is applied and the scan restarts from the
+      lowest anchor, for at most ``max_iterations`` improvements.
+
+    Restricting talons to two-hop vertices loses no improving pair: when two
+    talons share no neighbour, the solution vertices each one removes are
+    disjoint, so gain and loss both add up and one of the two single-talon
+    swaps already improves (up to the ``1e-12`` slack).  Because of the pool
+    cap the search is a heuristic; Berman's d/2 guarantee on d-claw-free
+    graphs needs exhaustive claws and is not claimed.  Smaller claw sizes
+    trade quality for speed, as the paper's ``t`` parameter does.
+
+    Each vertex's neighbourhood is kept as a bitmask, an anchor's two-hop
+    mask is computed on first use and reused for the rest of the search, and
+    the selection is mirrored as a bitmask, so examining one anchor costs
+    work proportional to its pool.  Losses are still summed over sets built
+    from ``neighbours & selected`` unions, whose iteration order fixes the
+    floating-point sums, so the selection is reproducible bit for bit.  The
+    graph's adjacency must be symmetric, as conflict graphs are.
     """
     if max_claw_size < 1:
         raise ValueError("max_claw_size must be at least 1")
 
     selected = greedy_wmis(graph)
+    size = len(graph)
     weights = [vertex.weight for vertex in graph.vertices]
-
-    def conflict_set(talons: Sequence[int]) -> Set[int]:
-        removed: Set[int] = set()
-        for talon in talons:
-            removed |= graph.neighbors(talon) & selected
-            if talon in selected:
-                removed.add(talon)
-        return removed
+    squares = [weight ** 2 for weight in weights]
+    adjacency = [graph.neighbors(index) for index in range(size)]
+    masks = [sum(map((1).__lshift__, neighbours)) for neighbours in adjacency]
+    selected_mask = sum(map((1).__lshift__, selected))
+    two_hop: List[Optional[int]] = [None] * size
+    pool_size = max(8, max_claw_size * 4) - 1
 
     for _ in range(max_iterations):
         improved = False
-        outside = [index for index in range(len(graph)) if index not in selected]
-        # Candidate talon sets are built around each outside vertex and its
-        # independent outside neighbours, which keeps enumeration local.
-        for anchor in outside:
-            neighbourhood = [anchor] + [
-                index for index in outside
-                if index != anchor and graph.are_adjacent(anchor, index) is False
-                and (graph.neighbors(anchor) & graph.neighbors(index))
-            ]
-            # Restrict to a bounded pool for tractability.
-            pool = neighbourhood[: max(8, max_claw_size * 4)]
-            for talons in _independent_subsets(graph, pool, max_claw_size):
-                if anchor not in talons:
-                    continue
-                removed = conflict_set(talons)
-                gain = sum(weights[t] ** 2 for t in talons)
-                loss = sum(weights[r] ** 2 for r in removed)
+        for anchor in range(size):
+            if selected_mask >> anchor & 1:
+                continue
+            reach = two_hop[anchor]
+            if reach is None:
+                reach = 0
+                for neighbour in adjacency[anchor]:
+                    reach |= masks[neighbour]
+                reach &= ~(masks[anchor] | 1 << anchor)
+                two_hop[anchor] = reach
+            for talons in _anchored_claws(
+                anchor, _low_bits(reach & ~selected_mask, pool_size), masks, max_claw_size
+            ):
+                removed: Set[int] = set()
+                for talon in talons:
+                    removed |= adjacency[talon] & selected
+                gain = sum(map(squares.__getitem__, talons))
+                loss = sum(map(squares.__getitem__, removed))
                 if gain > loss + 1e-12:
                     selected -= removed
                     selected |= set(talons)
+                    selected_mask = sum(map((1).__lshift__, selected))
                     improved = True
                     break
             if improved:
@@ -135,11 +189,11 @@ def squareimp_wmis(
             break
 
     # Make the solution maximal: add any non-conflicting leftover vertex.
-    for index in sorted(range(len(graph)), key=lambda i: -weights[i]):
-        if index in selected:
+    for index in sorted(range(size), key=lambda i: -weights[i]):
+        if selected_mask >> index & 1 or masks[index] & selected_mask:
             continue
-        if not (graph.neighbors(index) & selected):
-            selected.add(index)
+        selected.add(index)
+        selected_mask |= 1 << index
     return selected
 
 
