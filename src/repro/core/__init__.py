@@ -18,6 +18,7 @@ from .graph import (
     prepare_graph_side,
     singleton_greedy_lower_bound,
     usim_upper_bound,
+    usim_upper_bounds,
 )
 from .grams import DEFAULT_Q, jaccard, qgram_set, qgrams
 from .matching import (
@@ -70,4 +71,5 @@ __all__ = [
     "singleton_greedy_lower_bound",
     "squareimp_wmis",
     "usim_upper_bound",
+    "usim_upper_bounds",
 ]

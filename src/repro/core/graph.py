@@ -20,23 +20,44 @@ cached sides, and :func:`build_conflict_graph` is now a thin wrapper that
 builds both sides ad hoc (one code path, so the cached and uncached
 constructions cannot diverge).
 
-The side state also powers the verification pruning cascade:
-:func:`usim_upper_bound` bounds the unified similarity from above without
-building the pair graph (per-segment msim upper bounds fed to a matching
-bound), and :func:`singleton_greedy_lower_bound` bounds the *exact* USIM
-from below via a greedy matching of the all-singletons partitions.
+The side state also powers the verification pruning cascade, which runs
+the upper bound first and the lower bound only where the upper bound
+reaches θ:
+
+* :func:`usim_upper_bounds` bounds the unified similarity of one probe
+  against a whole candidate group from above, without building any pair
+  graph: per-segment-pair msim upper bounds fed to a matching bound.  The
+  Jaccard terms of the group come from one integer matmul of 0/1
+  gram-incidence matrices (numpy; per-entry gram-set arithmetic without
+  it), the taxonomy terms from shared-ancestor counts and the synonym terms
+  from the segments' closeness maps.  :func:`usim_upper_bound` is the same
+  kernel with one partner; both return the per-pair values bit for bit.
+* :func:`singleton_greedy_lower_bound` bounds the *exact* USIM from below
+  via a matching of the all-singletons partitions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+import threading
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain, pairwise
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .grams import qgram_set
 from .matching import matching_weight_lower_bound, matching_weight_upper_bound
 from .measures import Measure, MeasureConfig
 from .segments import Segment, enumerate_segments
+from .vocab import Vocabulary
+
+if os.environ.get("REPRO_NO_NUMPY"):  # pragma: no cover - exercised via scripts/check
+    _np = None
+else:
+    try:  # pragma: no cover - exercised implicitly wherever numpy exists
+        import numpy as _np
+    except ImportError:  # pragma: no cover - the fallback path is tested directly
+        _np = None
 
 __all__ = [
     "PairVertex",
@@ -47,10 +68,15 @@ __all__ = [
     "build_conflict_graph",
     "build_conflict_graph_from_sides",
     "usim_upper_bound",
+    "usim_upper_bounds",
     "singleton_greedy_lower_bound",
 ]
 
 _EPSILON = 1e-12
+
+#: Serialises interning into the configs' gram vocabularies, which the
+#: thread-pool verifier's workers share.
+_GRAM_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -270,6 +296,41 @@ class GraphSide:
         return tuple(states)
 
     @cached_property
+    def synonym_keys(
+        self,
+    ) -> Tuple[
+        Tuple[Tuple[int, Tuple[str, ...], float], ...],
+        Dict[Tuple[str, ...], Tuple[Tuple[int, float], ...]],
+    ]:
+        """The closeness maps indexed for the synonym bound.
+
+        ``own`` lists ``(segment index, tokens, closeness)`` for segments
+        whose own tokens key their own map; ``by_key`` maps each key to the
+        ``(segment index, closeness)`` of every segment whose map holds it.
+        """
+        own: List[Tuple[int, Tuple[str, ...], float]] = []
+        by_key: Dict[Tuple[str, ...], List[Tuple[int, float]]] = {}
+        for index, state in enumerate(self.bound_state):
+            closeness = state.syn_closeness
+            if closeness is None:
+                continue
+            value = closeness.get(state.self_tokens)
+            if value is not None:
+                own.append((index, state.self_tokens, value))
+            for key, value in closeness.items():
+                by_key.setdefault(key, []).append((index, value))
+        return tuple(own), {key: tuple(found) for key, found in by_key.items()}
+
+    @cached_property
+    def taxonomy_bounds(self) -> Tuple[Tuple[int, FrozenSet[int], int], ...]:
+        """``(segment index, ancestor ids, depth)`` of segments with a node."""
+        return tuple(
+            (index, frozenset(state.tax_ancestors), state.tax_depth)
+            for index, state in enumerate(self.bound_state)
+            if state.tax_ancestors is not None
+        )
+
+    @cached_property
     def min_partition_size(self) -> int:
         """Exact minimal number of segments in any well-defined partition.
 
@@ -302,6 +363,13 @@ class GraphSide:
     def singleton_token_tuples(self) -> Tuple[Tuple[str, ...], ...]:
         """Each token as a 1-tuple (msim probes of the singleton partition)."""
         return tuple((token,) for token in self.tokens)
+
+    def __getstate__(self) -> dict:
+        # The bound kernel's gram encoding holds per-process ids (see
+        # MeasureConfig.gram_vocabulary).
+        state = dict(self.__dict__)
+        state.pop("_gram_codes", None)
+        return state
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GraphSide(tokens={len(self.tokens)}, segments={len(self.segments)})"
@@ -577,63 +645,134 @@ def _check_side_configs(
 # --------------------------------------------------------------------- #
 # verification bounds (the pruning cascade's tiers)
 # --------------------------------------------------------------------- #
-def _segment_pair_upper_bound(
-    left: _SegmentBoundState,
-    right: _SegmentBoundState,
-    use_jaccard: bool,
-) -> float:
-    """An upper bound on ``msim`` of one segment pair from cached state.
+class _GramCodes:
+    """One side's segment gram sets as ids of one gram vocabulary.
 
-    Jaccard and taxonomy contributions are exact (gram-set arithmetic and
-    shared-ancestor LCA depth); the synonym contribution is an upper bound.
-    Rules are directional, so a rule connecting the two segments must have
-    one of *them* as its lhs — only those two keys of the shared-lhs
-    closeness maps can witness an actual rule, and each map value (the max
-    closeness over rules depositing that lhs on that segment) caps the
-    connecting rule's closeness from above.  Keys deposited transitively —
-    both segments being the rhs of rules sharing some third lhs — can never
-    realise a similarity and are no longer consulted (they made the
-    historical full-intersection bound loose under rule transitivity).
-    The bound stays an upper bound because two segments may carry each
-    other's lhs keys without a rule mapping one to the *other*.
+    ``ids`` lists every segment's gram ids, segment after segment, and
+    ``sizes`` the gram count of each segment.  ``columns`` (the side's
+    distinct ids, ascending) and ``incidence`` (a segments × columns 0/1
+    int32 matrix, plus one all-zero column that absorbs the grams a partner
+    does not share) serve the side's role as the probe of a kernel call.
     """
-    bound = 0.0
-    if use_jaccard and left.grams and right.grams:
-        intersection = len(left.grams & right.grams)
-        if intersection:
-            union = len(left.grams) + len(right.grams) - intersection
-            value = intersection / union
-            if value > bound:
-                bound = value
-    if left.syn_closeness is not None and right.syn_closeness is not None:
-        keys = (
-            (left.self_tokens,)
-            if left.self_tokens == right.self_tokens
-            else (left.self_tokens, right.self_tokens)
+
+    __slots__ = ("vocabulary", "ids", "sizes", "columns", "incidence")
+
+    def __init__(
+        self, bounds: Sequence[_SegmentBoundState], vocabulary: Vocabulary
+    ) -> None:
+        with _GRAM_LOCK:
+            encoded = [vocabulary.encode_all(state.grams) for state in bounds]
+        sizes = [len(segment_ids) for segment_ids in encoded]
+        self.vocabulary = vocabulary
+        self.ids = _np.fromiter(
+            chain.from_iterable(encoded), dtype=_np.intp, count=sum(sizes)
         )
-        for key in keys:
-            closeness = left.syn_closeness.get(key)
-            if closeness is None:
-                continue
-            other = right.syn_closeness.get(key)
-            if other is None:
-                continue
-            value = closeness if closeness < other else other
-            if value > bound:
-                bound = value
-    if left.tax_ancestors is not None and right.tax_ancestors is not None:
-        smaller_anc, larger_anc = left.tax_ancestors, right.tax_ancestors
-        if len(larger_anc) < len(smaller_anc):
-            smaller_anc, larger_anc = larger_anc, smaller_anc
-        lca_depth = 0
-        for node_id, depth in smaller_anc.items():
-            if depth > lca_depth and node_id in larger_anc:
-                lca_depth = depth
-        if lca_depth:
-            value = lca_depth / max(left.tax_depth, right.tax_depth)
-            if value > bound:
-                bound = value
-    return bound
+        self.sizes = _np.array(sizes, dtype=_np.int32)
+        self.columns, inverse = _np.unique(self.ids, return_inverse=True)
+        self.incidence = _np.zeros(
+            (len(sizes), len(self.columns) + 1), dtype=_np.int32
+        )
+        self.incidence[_np.repeat(_np.arange(len(sizes)), sizes), inverse] = 1
+
+
+def _gram_codes(side: GraphSide, vocabulary: Vocabulary) -> _GramCodes:
+    """The side's encoding under ``vocabulary``, built on first use.
+
+    A side keeps one encoding; it is rebuilt when the side is bounded under
+    another config's vocabulary (an equal config from another pickle).
+    """
+    codes = side.__dict__.get("_gram_codes")
+    if codes is None or codes.vocabulary is not vocabulary:
+        codes = _GramCodes(side.bound_state, vocabulary)
+        side._gram_codes = codes
+    return codes
+
+
+def _jaccard_blocks(
+    probe_side: GraphSide,
+    partners: Sequence[GraphSide],
+    probe_is_left: bool,
+    vocabulary: Vocabulary,
+) -> List[List[List[float]]]:
+    """Per partner, the Jaccard matrix of every segment pair (rows = left).
+
+    One int32 matmul of 0/1 gram-incidence matrices counts the shared grams
+    of every probe segment against every partner segment of the group; the
+    union is ``|a| + |b| - shared`` and each value an int/int division, so
+    every entry equals the per-pair gram-set arithmetic bit for bit.
+    Without numpy each entry is that arithmetic.  A config without Jaccard
+    gives its sides empty gram sets, so its blocks are all zeros.
+    """
+    if _np is None:
+        probe_bounds = probe_side.bound_state
+        blocks = []
+        for partner in partners:
+            left, right = (
+                (probe_bounds, partner.bound_state)
+                if probe_is_left
+                else (partner.bound_state, probe_bounds)
+            )
+            blocks.append(
+                [[_jaccard(a.grams, b.grams) for b in right] for a in left]
+            )
+        return blocks
+    probe = _gram_codes(probe_side, vocabulary)
+    codes = [_gram_codes(partner, vocabulary) for partner in partners]
+    sizes = _np.concatenate([code.sizes for code in codes])
+    ids = _np.concatenate([code.ids for code in codes])
+    width = len(probe.columns)
+    lookup = _np.full(len(vocabulary), width, dtype=_np.intp)
+    lookup[probe.columns] = _np.arange(width)
+    incidence = _np.zeros((len(sizes), width + 1), dtype=_np.int32)
+    incidence[_np.repeat(_np.arange(len(sizes)), sizes), lookup[ids]] = 1
+    shared = incidence @ probe.incidence.T  # partner segments × probe segments
+    union = sizes[:, None] + probe.sizes - shared
+    values = _np.zeros(shared.shape)
+    _np.divide(shared, union, out=values, where=shared > 0)
+    starts = list(accumulate((len(code.sizes) for code in codes), initial=0))
+    if probe_is_left:
+        values = values.T
+        return [values[:, start:end].tolist() for start, end in pairwise(starts)]
+    return [values[start:end].tolist() for start, end in pairwise(starts)]
+
+
+def _jaccard(left: FrozenSet[str], right: FrozenSet[str]) -> float:
+    """Jaccard of two gram sets (0.0 when either is empty)."""
+    if left and right:
+        intersection = len(left & right)
+        if intersection:
+            return intersection / (len(left) + len(right) - intersection)
+    return 0.0
+
+
+def usim_upper_bounds(
+    probe_side: GraphSide,
+    partner_sides: Sequence[GraphSide],
+    config: MeasureConfig,
+    *,
+    probe_is_left: bool,
+    threshold: Optional[float] = None,
+) -> List[float]:
+    """:func:`usim_upper_bound` of one probe against each of its partners.
+
+    The value at position ``k`` equals ``usim_upper_bound`` of the pair
+    (probe, ``partner_sides[k]``) in the orientation ``probe_is_left``
+    fixes, bit for bit; only the work is shared.  Per segment pair the
+    bound is the largest of three terms:
+
+    * **Jaccard** — exact, from the shared-gram counts of one integer
+      matmul over the whole group (see :func:`_jaccard_blocks`);
+    * **taxonomy** — exact: ``ancestors()`` lists a node's chain up to the
+      root (depth 1) inclusive, so two chains share exactly
+      ``depth(LCA)`` nodes;
+    * **synonyms** — an upper bound: a rule connecting two segments has
+      one of them as its lhs, so only their own tokens can key it, and
+      each closeness map caps its value under that key.  Filled in only
+      for segments that carry closeness maps.
+    """
+    return _upper_bounds(
+        probe_side, partner_sides, config, probe_is_left, threshold, 16
+    )
 
 
 def usim_upper_bound(
@@ -663,38 +802,78 @@ def usim_upper_bound(
     ``usim_upper_bound(...) < threshold`` is identical with or without the
     short circuit — only the returned value may be the (valid but looser)
     cheap bound in the sub-threshold cases.
+
+    This is :func:`usim_upper_bounds` with one partner.
     """
-    _check_side_configs(left_side, right_side, config)
-    if not left_side.tokens or not right_side.tokens:
-        return 0.0
-    use_jaccard = config.uses(Measure.JACCARD)
-    left_bounds = left_side.bound_state
-    right_bounds = right_side.bound_state
-    matrix: List[List[float]] = [
-        [
-            _segment_pair_upper_bound(left, right, use_jaccard)
-            for right in right_bounds
-        ]
-        for left in left_bounds
-    ]
-    denominator = max(left_side.min_partition_size, right_side.min_partition_size, 1)
-    if threshold is not None and matrix and matrix[0]:
-        # A matching selects at most one entry per row and per column, so
-        # each maxima sum bounds every matching's weight from above.
-        row_sum = sum(max(row) for row in matrix)
-        cheap = row_sum
-        if cheap / denominator >= threshold:
-            columns = len(matrix[0])
-            col_sum = sum(
-                max(row[column] for row in matrix) for column in range(columns)
-            )
-            cheap = min(cheap, col_sum)
-        value = cheap / denominator
-        if value < threshold:
-            return 1.0 if value > 1.0 else value
-    numerator = matching_weight_upper_bound(matrix, exact_limit=exact_limit)
-    value = numerator / denominator
-    return 1.0 if value > 1.0 else value
+    return _upper_bounds(
+        left_side, (right_side,), config, True, threshold, exact_limit
+    )[0]
+
+
+def _upper_bounds(
+    probe_side: GraphSide,
+    partner_sides: Sequence[GraphSide],
+    config: MeasureConfig,
+    probe_is_left: bool,
+    threshold: Optional[float],
+    exact_limit: int,
+) -> List[float]:
+    for partner in partner_sides:
+        _check_side_configs(probe_side, partner, config)
+    bounds = [0.0] * len(partner_sides)
+    if not probe_side.tokens:
+        return bounds
+    active = [k for k, partner in enumerate(partner_sides) if partner.tokens]
+    if not active:
+        return bounds
+    partners = [partner_sides[k] for k in active]
+    matrices = _jaccard_blocks(
+        probe_side, partners, probe_is_left, config.gram_vocabulary
+    )
+
+    probe_taxonomy = probe_side.taxonomy_bounds
+    probe_own, probe_by_key = probe_side.synonym_keys
+    probe_minimum = probe_side.min_partition_size
+    for k, partner, matrix in zip(active, partners, matrices):
+        # The sparse terms raise single entries: (probe segment, partner
+        # segment, value).  A connecting synonym rule is directional, so its
+        # lhs is one of the two segments: only their own tokens can key a
+        # rule between them, and the smaller of the two maps' values under
+        # that key caps its closeness.
+        raised: List[Tuple[int, int, float]] = []
+        for j, other_ancestors, other_depth in partner.taxonomy_bounds:
+            for i, ancestors, depth in probe_taxonomy:
+                lca_depth = len(ancestors & other_ancestors)
+                if lca_depth:
+                    deeper = depth if depth > other_depth else other_depth
+                    raised.append((i, j, lca_depth / deeper))
+        partner_own, partner_by_key = partner.synonym_keys
+        for i, key, value in probe_own:
+            for j, other in partner_by_key.get(key, ()):
+                raised.append((i, j, value if value < other else other))
+        for j, key, other in partner_own:
+            for i, value in probe_by_key.get(key, ()):
+                raised.append((i, j, value if value < other else other))
+        for i, j, value in raised:
+            row, column = (matrix[i], j) if probe_is_left else (matrix[j], i)
+            if value > row[column]:
+                row[column] = value
+
+        denominator = max(probe_minimum, partner.min_partition_size, 1)
+        if threshold is not None:
+            # A matching selects at most one entry per row and per column,
+            # so each maxima sum bounds every matching's weight from above.
+            cheap = sum(map(max, matrix))
+            if cheap / denominator >= threshold:
+                cheap = min(cheap, sum(map(max, zip(*matrix))))
+            value = cheap / denominator
+            if value < threshold:
+                bounds[k] = 1.0 if value > 1.0 else value
+                continue
+        numerator = matching_weight_upper_bound(matrix, exact_limit=exact_limit)
+        value = numerator / denominator
+        bounds[k] = 1.0 if value > 1.0 else value
+    return bounds
 
 
 def singleton_greedy_lower_bound(

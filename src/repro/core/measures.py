@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Set, Tuple
 
 from . import grams
+from .vocab import Vocabulary
 from ..synonyms.rules import SynonymRuleSet
 from ..taxonomy.tree import Taxonomy
 
@@ -76,8 +77,8 @@ class MeasureConfig:
     contents), not identity: two configs built from equal knowledge sources
     are interchangeable, which is what lets prepared collections and cached
     graph sides survive a pickle round-trip into worker processes.  The
-    per-instance msim memo is excluded from equality and from pickles (each
-    process rebuilds its own).
+    per-instance msim memo and q-gram ids are excluded from equality and
+    from pickles (each process rebuilds its own).
     """
 
     rules: Optional[SynonymRuleSet] = None
@@ -101,6 +102,17 @@ class MeasureConfig:
         # comparison walks the full rule set / taxonomy — pay it once per
         # distinct partner object, then answer by identity.
         object.__setattr__(self, "_eq_memo", {})
+        object.__setattr__(self, "_gram_vocabulary", Vocabulary())
+
+    @property
+    def gram_vocabulary(self) -> Vocabulary:
+        """Integer ids of q-grams, the input of the upper-bound kernel.
+
+        The ids are per process, like the memos: pickles drop the table, so
+        an id never reaches another process.  See
+        :func:`~repro.core.graph.usim_upper_bounds`.
+        """
+        return self._gram_vocabulary  # type: ignore[attr-defined]
 
     # ------------------------------------------------------------------ #
     # equality and pickling
@@ -160,17 +172,19 @@ class MeasureConfig:
         )
 
     def __getstate__(self) -> dict:
-        # The msim and equality memos are per-process caches: dropping them
-        # keeps pickles small and every process rebuilds its own.
+        # The msim and equality memos and the gram ids are per-process:
+        # dropping them keeps pickles small and every process rebuilds its own.
         state = dict(self.__dict__)
         state.pop("_msim_cache", None)
         state.pop("_eq_memo", None)
+        state.pop("_gram_vocabulary", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         object.__setattr__(self, "_msim_cache", {})
         object.__setattr__(self, "_eq_memo", {})
+        object.__setattr__(self, "_gram_vocabulary", Vocabulary())
 
     # ------------------------------------------------------------------ #
     # constructors

@@ -14,16 +14,26 @@ candidates by probe record, reuses per-record cached
 sets) from :class:`~repro.join.prepared.PreparedCollection`, and runs a
 tiered bound cascade before committing to the full Algorithm 1:
 
-1. *Lower-bound tier* — a matching of the all-singletons partitions (exact
+1. *Upper bound, per probe group* — one
+   :func:`~repro.core.graph.usim_upper_bounds` call bounds the probe
+   against every partner of its run of candidates: per-segment-pair msim
+   upper bounds (Jaccard from one integer matmul over the group) fed to a
+   matching bound.  The tiers below read these values.
+2. *Lower-bound tier* — a matching of the all-singletons partitions (exact
    Hungarian for small token matrices, weight-descending greedy beyond)
-   lower-bounds the exact USIM; when it already clears the threshold the
-   upper-bound tier is skipped (it provably cannot prune this pair).
-2. *Upper-bound tier* — per-segment msim upper bounds from cached pebble
-   material fed to a matching bound reject pairs whose unified similarity
-   cannot reach the threshold, without building the pair graph.
-3. *Full verification* — the pair graph is assembled from the two cached
+   lower-bounds the exact USIM.  It is computed only for pairs whose upper
+   bound reaches θ: lower ≤ exact USIM ≤ upper, so no other pair could
+   clear θ here.  A pair that clears θ skips the upper-bound tier (it
+   provably cannot prune this pair).
+3. *Upper-bound tier* — the other pairs whose upper bound is below θ are
+   rejected without building the pair graph.
+4. *Full verification* — the pair graph is assembled from the two cached
    sides and Algorithm 1 runs with its value-ceiling short circuit (the
    improvement loop is skipped once no swap can gain ``1/t``).
+
+The tiers are consulted in the order they always were (lower, then upper),
+so every counter, the adaptive gates' included, is the one the
+lower-bound-first cascade reported; only the work behind them moved.
 
 The cascade is lossless: the surviving pair set and every reported
 similarity are bit-identical to verifying each candidate with
@@ -58,6 +68,7 @@ from ..core.graph import (
     build_conflict_graph_from_sides,
     singleton_greedy_lower_bound,
     usim_upper_bound,
+    usim_upper_bounds,
 )
 from ..core.measures import MeasureConfig
 from ..records import Record
@@ -88,8 +99,12 @@ class VerificationStats:
     ``upper_bound_prunes`` were rejected without building a pair graph and
     ``graphs_built`` went through Algorithm 1 (``ceiling_stops`` of them
     skipped the improvement loop via the value ceiling, ``full_runs`` ran
-    it).  ``lower_bound_skips`` counts pairs whose cheap lower bound already
-    cleared the threshold, letting the cascade skip the upper-bound tier.
+    it).  ``lower_bound_skips`` counts pairs whose lower bound cleared the
+    threshold, so the upper-bound tier's verdict was skipped.  The upper
+    bound is computed first (per probe group), and the lower bound only for
+    pairs whose upper bound reaches θ — a pair below it could not have
+    cleared θ on the lower bound — so the count is the one a
+    lower-bound-first cascade reports.
     ``adaptive_lower_skips`` / ``adaptive_upper_skips`` count candidates for
     which the adaptive controller (see :class:`UnifiedVerifier`) bypassed a
     bound tier because its observed hit rate had dropped below its cost;
@@ -385,10 +400,10 @@ class UnifiedVerifier(Verifier):
     the tier is skipped for subsequent candidates and periodically re-probed.
     This matters most for the lower-bound tier: at high join thresholds it
     almost never clears θ (``BENCH_verification.json`` records 0% at
-    θ ≥ 0.7), so with adaptivity off every candidate pays its greedy
-    matching for nothing — ``adaptive=True`` sheds that cost after the
-    first window while keeping the tier available for the low-θ,
-    similarity-dense workloads it exists for.
+    θ ≥ 0.7), so with adaptivity off every candidate whose upper bound
+    reaches θ pays its matching for nothing — ``adaptive=True`` sheds that
+    cost after the first window while keeping the tier available for the
+    low-θ, similarity-dense workloads it exists for.
     Because both tiers are lossless, the surviving pairs and similarities
     are *identical* with adaptivity on or off — only the per-tier counters
     (and runtime) change, with bypasses reported as
@@ -479,6 +494,7 @@ class UnifiedVerifier(Verifier):
         stats: VerificationStats,
         *,
         assembler: Optional[PairGraphAssembler] = None,
+        upper: Optional[float] = None,
     ) -> Optional[VerifiedPair]:
         stats.candidates += 1
         threshold = self.threshold
@@ -493,23 +509,33 @@ class UnifiedVerifier(Verifier):
             upper_gate = self._upper_gate
             lower_cleared = False
             if lower_gate is None or lower_gate.should_run():
-                lower = singleton_greedy_lower_bound(left_side, right_side, config)
-                lower_cleared = lower >= threshold
+                # lower ≤ exact USIM ≤ upper: below θ the upper bound proves
+                # the lower bound cannot clear θ, so it is not computed.
+                if upper is None:
+                    upper = usim_upper_bound(
+                        left_side, right_side, config, threshold=threshold
+                    )
+                lower_cleared = (
+                    upper >= threshold
+                    and singleton_greedy_lower_bound(left_side, right_side, config)
+                    >= threshold
+                )
                 if lower_gate is not None:
                     lower_gate.record(lower_cleared)
             else:
                 stats.adaptive_lower_skips += 1
             if lower_cleared:
                 # The exact USIM is ≥ lower ≥ θ, so the upper bound (≥ exact)
-                # cannot fall below θ: skip computing it.
+                # cannot prune this pair.
                 stats.lower_bound_skips += 1
             elif upper_gate is None or upper_gate.should_run():
                 # threshold= is the sub-θ short circuit: the cheap maxima
                 # bound replaces the matching solver whenever it alone
                 # already prunes — the prune decision is provably the same.
-                upper = usim_upper_bound(
-                    left_side, right_side, config, threshold=threshold
-                )
+                if upper is None:
+                    upper = usim_upper_bound(
+                        left_side, right_side, config, threshold=threshold
+                    )
                 pruned = upper < threshold
                 if upper_gate is not None:
                     upper_gate.record(pruned)
@@ -556,9 +582,10 @@ class UnifiedVerifier(Verifier):
         This is the public entry the online search index drives: one probe
         record against one candidate member, both with prepared
         :class:`~repro.core.graph.GraphSide` state, through exactly the
-        lower-bound / upper-bound / Algorithm-1 cascade that
-        :meth:`verify_batch` runs per candidate — so a query's surviving
-        pairs and similarities are bit-identical to the batch join's.
+        bound / Algorithm-1 cascade that :meth:`verify_batch` runs per
+        candidate (the upper bound computed for the single pair) — so a
+        query's surviving pairs, similarities and counters are
+        bit-identical to the batch join's.
 
         ``stats`` redirects the cascade counters into a caller-owned block
         (merge it into :attr:`stats` when done, as :meth:`verify_batch`
@@ -591,10 +618,10 @@ class UnifiedVerifier(Verifier):
         """Verify candidates through the prepared engine (see class docs).
 
         Candidates are grouped by probe record (consecutive runs on the
-        ``probe_side`` id, matching the filter's emission order) so one
-        probe's cached side is fetched once per group; under a thread pool,
-        whole groups are assigned to workers and each worker's statistics
-        are merged after the fact.
+        ``probe_side`` id, matching the filter's emission order); each run
+        shares one graph assembler and one upper-bound kernel call.  Under
+        a thread pool, whole groups are assigned to workers (oversized ones
+        split) and each worker's statistics are merged after the fact.
 
         A subclass that overrides :meth:`verify` or the :meth:`_verify_one`
         extension hook without overriding :meth:`_verify_prepared` keeps
@@ -626,8 +653,12 @@ class UnifiedVerifier(Verifier):
         get_right = self._side_getter(right)
         groups = _group_candidates(candidate_list, probe_side)
         probe_is_left = probe_side == "left"
+        config = self.config
+        threshold = self.threshold
+        bounding = self.prune and threshold > 0.0
         # A subclass may override ``_verify_prepared`` with the historical
-        # signature; only the base cascade is handed the group assembler.
+        # signature; only the base cascade is handed the group's assembler
+        # and upper bounds.
         base_cascade = (
             type(self)._verify_prepared is UnifiedVerifier._verify_prepared
         )
@@ -637,42 +668,51 @@ class UnifiedVerifier(Verifier):
         ) -> Tuple[List[VerifiedPair], VerificationStats]:
             local = VerificationStats()
             found: List[VerifiedPair] = []
-            # One assembler per run of pairs sharing the probe record: its
-            # qualification pre-pass is computed once and reused against
-            # every partner in the group (chunks preserve group runs, and a
-            # split oversized group just re-derives it once per slice).
-            current_probe: Optional[int] = None
-            assembler: Optional[PairGraphAssembler] = None
-            for left_id, right_id in chunk:
-                left_graph_side = get_left(left_id)
-                right_graph_side = get_right(right_id)
+            # Chunks preserve the runs of pairs sharing a probe record (a
+            # split oversized group just forms one run per slice).  Each run
+            # shares one assembler, whose qualification pre-pass is computed
+            # once, and one kernel call bounding the probe against all of
+            # its partners.
+            for run in _group_candidates(chunk, probe_side):
+                left_sides = [get_left(left_id) for left_id, _ in run]
+                right_sides = [get_right(right_id) for _, right_id in run]
+                extras: Sequence[dict] = [{}] * len(run)
                 if base_cascade:
-                    probe_id = left_id if probe_is_left else right_id
-                    if assembler is None or probe_id != current_probe:
-                        current_probe = probe_id
-                        assembler = PairGraphAssembler(
-                            left_graph_side if probe_is_left else right_graph_side,
-                            self.config,
+                    probe_graph_side, partner_sides = (
+                        (left_sides[0], right_sides)
+                        if probe_is_left
+                        else (right_sides[0], left_sides)
+                    )
+                    assembler = PairGraphAssembler(
+                        probe_graph_side, config, probe_is_left=probe_is_left
+                    )
+                    uppers: Sequence[Optional[float]] = (
+                        usim_upper_bounds(
+                            probe_graph_side,
+                            partner_sides,
+                            config,
                             probe_is_left=probe_is_left,
+                            threshold=threshold,
                         )
+                        if bounding
+                        else [None] * len(run)
+                    )
+                    extras = [
+                        {"assembler": assembler, "upper": upper} for upper in uppers
+                    ]
+                for (left_id, right_id), left_graph_side, right_graph_side, extra in zip(
+                    run, left_sides, right_sides, extras
+                ):
                     verified = self._verify_prepared(
                         left[left_id],
                         right[right_id],
                         left_graph_side,
                         right_graph_side,
                         local,
-                        assembler=assembler,
+                        **extra,
                     )
-                else:
-                    verified = self._verify_prepared(
-                        left[left_id],
-                        right[right_id],
-                        left_graph_side,
-                        right_graph_side,
-                        local,
-                    )
-                if verified is not None:
-                    found.append(verified)
+                    if verified is not None:
+                        found.append(verified)
             return found, local
 
         pairs: List[VerifiedPair] = []

@@ -20,7 +20,7 @@ cascade (:meth:`~repro.join.verification.UnifiedVerifier.verify_prepared_pair`),
 the same :class:`~repro.join.verification.VerificationStats` — which the
 randomized equivalence tests enforce across measures, self-join corpora,
 and mutation histories.  :meth:`query_topk` additionally orders candidates
-by the pebble-derived :func:`~repro.core.graph.usim_upper_bound` and stops
+by the pebble-derived :func:`~repro.core.graph.usim_upper_bounds` and stops
 verifying once the k-th best verified similarity strictly beats every
 remaining bound (:func:`~repro.core.topk.bounded_top_k` — exact, ties
 included).
@@ -61,7 +61,7 @@ from math import ceil
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..core.graph import GraphSide, usim_upper_bound
+from ..core.graph import GraphSide, usim_upper_bounds
 from ..core.measures import MeasureConfig
 from ..core.tokenizer import default_tokenizer
 from ..core.topk import bounded_top_k
@@ -666,13 +666,13 @@ class SimilarityIndex:
     ) -> QueryResult:
         """The k most similar live members (≥ the θ floor), bound-pruned.
 
-        Candidates are verified in descending
-        :func:`~repro.core.graph.usim_upper_bound` order; verification
-        stops as soon as the k-th best verified similarity strictly beats
-        every remaining bound, so the expensive cascade runs only where it
-        can still change the answer.  The result equals the top-k (by
-        ``(-similarity, record_id)``) of the corresponding full query —
-        exact, ties included.
+        Candidates are verified in descending upper-bound order (one
+        :func:`~repro.core.graph.usim_upper_bounds` call bounds them all);
+        verification stops as soon as the k-th best verified similarity
+        strictly beats every remaining bound, so the expensive cascade runs
+        only where it can still change the answer.  The result equals the
+        top-k (by ``(-similarity, record_id)``) of the corresponding full
+        query — exact, ties included.
         """
         theta_q, tau_q = self._resolve_query(theta, tau)
         start = time.perf_counter()
@@ -680,11 +680,12 @@ class SimilarityIndex:
         state = _ProbeState(self, self._probe_record(probe))
         candidates, processed = self._probe_members([state.signed], tau_q)
         partners = [member_id for _, member_id in candidates]
-        config = self.config
-        bounds = [
-            usim_upper_bound(state.side, self._member_side(member_id), config)
-            for member_id in partners
-        ]
+        bounds = usim_upper_bounds(
+            state.side,
+            [self._member_side(member_id) for member_id in partners],
+            self.config,
+            probe_is_left=True,
+        )
         local = VerificationStats()
 
         def evaluate(member_id: int) -> Optional[float]:

@@ -384,20 +384,34 @@ class TestPickleRoundTrips:
         assert _triples(rejoined.pairs) == _triples(reference.pairs)
 
     def test_graph_side_round_trip(self, parallel_dataset):
-        from repro.core.graph import build_conflict_graph_from_sides, usim_upper_bound
+        from repro.core.graph import (
+            build_conflict_graph_from_sides,
+            usim_upper_bound,
+            usim_upper_bounds,
+        )
 
         config = _config(parallel_dataset, "TJS")
         record = parallel_dataset.records[0]
         other = parallel_dataset.records[1]
         side = GraphSide(record.tokens, config)
-        # Warm every cached property so the pickle carries derived state too.
+        partner = GraphSide(other.tokens, config)
+        # Warm every cached property so the pickle carries derived state too,
+        # and build the bound kernel's gram encoding, which must not travel.
         side.match_state, side.bound_state, side.overlap_sets
         side.min_partition_size, side.singleton_token_tuples
+        expected = usim_upper_bounds(side, [partner], config, probe_is_left=False)
         clone = pickle.loads(pickle.dumps(side))
+        assert "_gram_codes" not in vars(clone)
+        # The clone's config has its own gram ids, like a receiving process;
+        # unrelated sides take the low ids first.
+        unrelated = [
+            GraphSide(r.tokens, clone.config) for r in list(parallel_dataset.records)[5:9]
+        ]
+        usim_upper_bounds(unrelated[0], unrelated, clone.config, probe_is_left=True)
         assert clone.tokens == side.tokens
         assert clone.segments == side.segments
         assert clone.min_partition_size == side.min_partition_size
-        partner = GraphSide(other.tokens, config)
+        partner = GraphSide(other.tokens, clone.config)
         graph = build_conflict_graph_from_sides(partner, clone, clone.config)
         reference = build_conflict_graph_from_sides(partner, side, config)
         assert [v.weight for v in graph.vertices] == [
@@ -406,6 +420,10 @@ class TestPickleRoundTrips:
         assert usim_upper_bound(partner, clone, clone.config) == usim_upper_bound(
             partner, side, config
         )
+        assert usim_upper_bounds(clone, [partner], clone.config, probe_is_left=False) == expected
+        assert usim_upper_bounds(
+            unrelated[0], [clone, side], clone.config, probe_is_left=True
+        ) == 2 * usim_upper_bounds(unrelated[0], [side], config, probe_is_left=True)
 
     def test_measure_config_round_trip_equality(self, parallel_dataset):
         config = _config(parallel_dataset, "TJS")

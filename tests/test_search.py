@@ -15,6 +15,8 @@ import random
 
 import pytest
 
+import repro.search.index as index_module
+from repro.core.graph import usim_upper_bound, usim_upper_bounds
 from repro.core.measures import MeasureConfig
 from repro.datasets import TINY_PROFILE, generate_dataset
 from repro.join import PebbleJoin
@@ -135,6 +137,44 @@ def test_topk_equals_full_query_head(search_dataset):
             # The early stop may only ever skip work, never answers.
             assert top.bound_skipped >= 0
             assert top.candidate_count == full.candidate_count
+
+
+def test_topk_bounds_candidates_in_one_kernel_call(search_dataset, monkeypatch):
+    """One group-kernel call bounds a top-k query's candidates; the answers,
+    their order and ``bound_skipped`` equal those of per-pair bounds."""
+    config = _config(search_dataset, "TJS")
+    index = SimilarityIndex(search_dataset.records.head(45), config, theta=0.45, tau=1)
+    probes = [search_dataset.records[record_id] for record_id in range(45, 60)]
+
+    def answers():
+        results = [index.query_topk(probe, k) for probe in probes for k in (1, 3)]
+        return [
+            (
+                [(m.record_id, m.similarity) for m in result.matches],
+                result.bound_skipped,
+                result.verification,
+            )
+            for result in results
+        ]
+
+    calls = []
+
+    def counting(probe_side, partner_sides, config, *, probe_is_left, threshold=None):
+        calls.append(len(partner_sides))
+        return usim_upper_bounds(
+            probe_side, partner_sides, config, probe_is_left=probe_is_left, threshold=threshold
+        )
+
+    def per_pair(probe_side, partner_sides, config, *, probe_is_left, threshold=None):
+        assert probe_is_left and threshold is None
+        return [usim_upper_bound(probe_side, side, config) for side in partner_sides]
+
+    monkeypatch.setattr(index_module, "usim_upper_bounds", counting)
+    got = answers()
+    assert len(calls) == 2 * len(probes)
+    monkeypatch.setattr(index_module, "usim_upper_bounds", per_pair)
+    assert got == answers()
+    assert sum(skipped for _, skipped, _ in got) > 0
 
 
 def test_topk_validates_k(search_dataset):

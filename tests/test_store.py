@@ -18,6 +18,7 @@ import pickle
 import pytest
 
 from repro import SynonymRuleSet, Taxonomy
+from repro.core.graph import GraphSide, usim_upper_bounds
 from repro.core.measures import MeasureConfig
 from repro.datasets import TINY_PROFILE, generate_dataset
 from repro.join import PebbleJoin, UnifiedJoin
@@ -158,6 +159,34 @@ class TestStoreReuse:
         # The persisted artifact carried the cold join's signing: the warm
         # run's signing stage is a cache hit.
         assert warm.statistics.signing_seconds < cold.statistics.signing_seconds
+
+    def test_loaded_sides_bound_identically(self, store_dataset, tmp_path):
+        """Sides saved after the join built their bound encodings load without
+        them and bound identically under the loaded config's own gram ids."""
+        collection = store_dataset.records.head(20)
+        config = _config(store_dataset)
+        store = PreparedStore(tmp_path)
+        prepared = store.prepare(collection, config)
+        PebbleJoin(config, THETA, tau=TAU).join(prepared)
+        sides = [prepared.graph_side(i) for i in range(len(prepared))]
+        assert all("_gram_codes" in vars(side) for side in sides)
+        expected = [usim_upper_bounds(s, sides, config, probe_is_left=True) for s in sides]
+        store.save(prepared)
+
+        loaded = PreparedStore(tmp_path).prepare(collection, config)
+        assert loaded.config is not config
+        # Unrelated sides take the low gram ids of the loaded config first.
+        unrelated = [
+            GraphSide(record.tokens, loaded.config)
+            for record in store_dataset.records.head(40)
+        ][20:]
+        usim_upper_bounds(unrelated[0], unrelated, loaded.config, probe_is_left=True)
+        loaded_sides = [loaded.graph_side(i) for i in range(len(loaded))]
+        assert all("_gram_codes" not in vars(side) for side in loaded_sides)
+        assert [
+            usim_upper_bounds(s, loaded_sides, loaded.config, probe_is_left=True)
+            for s in loaded_sides
+        ] == expected
 
     def test_prepare_sourced_sides_persist_back_after_join(
         self, store_dataset, tmp_path
