@@ -22,7 +22,8 @@ constructions cannot diverge).
 
 The side state also powers the verification pruning cascade, which runs
 the upper bound first and the lower bound only where the upper bound
-reaches θ:
+reaches θ (less a slack for float rounding, since the two bounds may cross
+by a few ulps where they are equal in exact arithmetic):
 
 * :func:`usim_upper_bounds` bounds the unified similarity of one probe
   against a whole candidate group from above, without building any pair

@@ -22,8 +22,8 @@ tiered bound cascade before committing to the full Algorithm 1:
 2. *Lower-bound tier* — a matching of the all-singletons partitions (exact
    Hungarian for small token matrices, weight-descending greedy beyond)
    lower-bounds the exact USIM.  It is computed only for pairs whose upper
-   bound reaches θ: lower ≤ exact USIM ≤ upper, so no other pair could
-   clear θ here.  A pair that clears θ skips the upper-bound tier (it
+   bound reaches θ, less a rounding slack: lower ≤ exact USIM ≤ upper, so
+   no other pair could clear θ here.  A pair that clears θ skips the upper-bound tier (it
    provably cannot prune this pair).
 3. *Upper-bound tier* — the other pairs whose upper bound is below θ are
    rejected without building the pair graph.
@@ -81,6 +81,14 @@ SimilarityFunction = Callable[[Sequence[str], Sequence[str]], float]
 #: Maximum number of ad-hoc (non-prepared) graph sides memoised per verifier.
 _SIDE_CACHE_LIMIT = 100_000
 
+#: lower ≤ exact USIM ≤ upper holds in exact arithmetic, but the two bounds
+#: add up their terms in different orders, so their floats may cross by a few
+#: ulps.  The lower bound is still computed when the upper bound falls short
+#: of θ by no more than this, so a pair whose lower bound rounds up to θ
+#: while its upper bound rounds below it clears the lower tier, as it did
+#: when the lower bound ran first.
+_BOUND_ROUNDING_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class VerifiedPair:
@@ -102,7 +110,8 @@ class VerificationStats:
     it).  ``lower_bound_skips`` counts pairs whose lower bound cleared the
     threshold, so the upper-bound tier's verdict was skipped.  The upper
     bound is computed first (per probe group), and the lower bound only for
-    pairs whose upper bound reaches θ — a pair below it could not have
+    pairs whose upper bound reaches θ, less a slack for float rounding
+    (``_BOUND_ROUNDING_SLACK``) — a pair below it could not have
     cleared θ on the lower bound — so the count is the one a
     lower-bound-first cascade reports.
     ``adaptive_lower_skips`` / ``adaptive_upper_skips`` count candidates for
@@ -509,14 +518,15 @@ class UnifiedVerifier(Verifier):
             upper_gate = self._upper_gate
             lower_cleared = False
             if lower_gate is None or lower_gate.should_run():
-                # lower ≤ exact USIM ≤ upper: below θ the upper bound proves
-                # the lower bound cannot clear θ, so it is not computed.
+                # lower ≤ exact USIM ≤ upper: below θ (less rounding slack)
+                # the upper bound proves the lower bound cannot clear θ, so
+                # it is not computed.
                 if upper is None:
                     upper = usim_upper_bound(
                         left_side, right_side, config, threshold=threshold
                     )
                 lower_cleared = (
-                    upper >= threshold
+                    upper >= threshold - _BOUND_ROUNDING_SLACK
                     and singleton_greedy_lower_bound(left_side, right_side, config)
                     >= threshold
                 )

@@ -44,7 +44,12 @@ from repro.core.matching import matching_weight_upper_bound
 from repro.core.measures import Measure, MeasureConfig
 from repro.datasets import MED_PROFILE, generate_dataset, generate_ground_truth
 from repro.join import PebbleJoin
-from repro.join.verification import UnifiedVerifier, VerifiedPair
+from repro.join.verification import (
+    _BOUND_ROUNDING_SLACK,
+    UnifiedVerifier,
+    VerificationStats,
+    VerifiedPair,
+)
 from repro.records import RecordCollection
 from repro.synonyms.rules import SynonymRuleSet
 
@@ -231,14 +236,38 @@ class TestBoundOrder:
     @settings(max_examples=150, deadline=None)
     @given(bound_groups(codes=st.just("TJS")))
     def test_lower_bound_never_exceeds_upper_bound(self, case):
-        """The cascade skips the lower bound below θ on this inequality."""
+        """The cascade skips the lower bound more than the rounding slack
+        below θ on this inequality (exact in real arithmetic; the two bounds'
+        floats may cross by a few ulps)."""
         probe_tokens, partner_tokens, config = case
         probe = GraphSide(probe_tokens, config)
         for partner in (GraphSide(tokens, config) for tokens in partner_tokens):
             for left, right in ((probe, partner), (partner, probe)):
                 lower = singleton_greedy_lower_bound(left, right, config)
                 for threshold in THRESHOLDS:
-                    assert lower <= usim_upper_bound(left, right, config, threshold=threshold)
+                    upper = usim_upper_bound(left, right, config, threshold=threshold)
+                    assert lower <= upper + _BOUND_ROUNDING_SLACK
+
+    def test_bounds_crossing_by_rounding_keep_the_cascade(self):
+        """Here the lower bound (7/12) rounds one ulp above the upper bound
+        (7/12).  At θ equal to the lower bound the lower-bound-first cascade
+        clears the lower tier and verifies the pair: the reordered one must
+        do the same, not prune it on the upper bound."""
+        config = MeasureConfig.from_codes(
+            "TJS", rules=SynonymRuleSet(), taxonomy=Taxonomy("root"), q=2
+        )
+        records = RecordCollection.from_strings(["b b b aaba", "b aa b"])
+        left, right = (GraphSide(record.tokens, config) for record in records)
+        lower = singleton_greedy_lower_bound(left, right, config)
+        assert lower > usim_upper_bound(left, right, config, threshold=lower)
+        outcomes = []
+        for verify in (UnifiedVerifier._verify_prepared, reference_verify_prepared):
+            verifier = UnifiedVerifier(config, lower)
+            stats = VerificationStats()
+            pair = verify(verifier, records[0], records[1], left, right, stats)
+            outcomes.append((pair, {name: getattr(stats, name) for name in stats._COUNTERS}))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1]["lower_bound_skips"] == 1
 
 
 @pytest.mark.skipif(graph_module._np is None, reason="gram ids exist only with numpy")
